@@ -238,8 +238,12 @@ func TestReplicationShipsByteIdentical(t *testing.T) {
 		got, err := os.ReadFile(follower.replicas.LogPath(id))
 		return err == nil && string(got) == string(want)
 	})
-	if owner.reg.Snapshot()["oms_repl_ship_bytes_total"] < int64(len(want)) {
+	snap := owner.reg.Snapshot()
+	if snap["oms_repl_ship_bytes_total"] < int64(len(want)) {
 		t.Errorf("ship-bytes counter below log size")
+	}
+	if snap["oms_repl_ack_wait_seconds_count"] == 0 {
+		t.Errorf("sync-mode flushes left no ack-wait observations")
 	}
 
 	// GC propagation: deleting the session reaps the replica too.

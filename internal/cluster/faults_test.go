@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -70,6 +71,66 @@ func (r *rawStream) readCtl(t *testing.T) (byte, int64) {
 	return typ, off
 }
 
+// ctl is one control frame read off a stream, or the read's error.
+type ctl struct {
+	typ byte
+	off int64
+	err error
+}
+
+// pump hands every later control frame to a channel, so a test can
+// wait for one with a deadline or assert that none arrives. The channel
+// closes after the first read error.
+func (r *rawStream) pump() <-chan ctl {
+	ch := make(chan ctl, 16)
+	go func() {
+		defer close(ch)
+		for {
+			payload, _, err := r.rd.NextFrame()
+			if err != nil {
+				ch <- ctl{err: err}
+				return
+			}
+			typ, off, err := parseCtl(payload)
+			ch <- ctl{typ: typ, off: off, err: err}
+		}
+	}()
+	return ch
+}
+
+// nextAck waits for the next control frame and requires an ack.
+func nextAck(t *testing.T, ch <-chan ctl) int64 {
+	t.Helper()
+	select {
+	case c := <-ch:
+		if c.err != nil || c.typ != repAck {
+			t.Fatalf("got control frame %#x @%d (err %v), want an ack", c.typ, c.off, c.err)
+		}
+		return c.off
+	case <-time.After(10 * time.Second):
+		t.Fatal("no ack within 10s")
+		return 0
+	}
+}
+
+// expectAck waits for the next control frame and requires an ack at off.
+func expectAck(t *testing.T, ch <-chan ctl, off int64) {
+	t.Helper()
+	if got := nextAck(t, ch); got != off {
+		t.Fatalf("ack @%d, want @%d", got, off)
+	}
+}
+
+// expectQuiet requires that no control frame arrives for d.
+func expectQuiet(t *testing.T, ch <-chan ctl, d time.Duration) {
+	t.Helper()
+	select {
+	case c := <-ch:
+		t.Fatalf("unexpected control frame %#x @%d (err %v)", c.typ, c.off, c.err)
+	case <-time.After(d):
+	}
+}
+
 func (r *rawStream) close() {
 	r.pw.Close()
 	r.resp.Body.Close()
@@ -94,6 +155,40 @@ func frameBoundaries(t *testing.T, b []byte) []int64 {
 	}
 }
 
+// authorLog writes an authentic session log of nodes isolated nodes
+// offline in owner's primary store, bypassing owner's Node so no real
+// shipper competes with the test. The id (prefixed by tag) is one
+// follower does not own, or it would refuse to follow it. It returns
+// the log bytes, their frame-end offsets and the spec to open a stream
+// with.
+func authorLog(t *testing.T, owner, follower *testNode, tag string, nodes int32) (id string, log []byte, ends []int64, spec []byte) {
+	t.Helper()
+	for i := 0; ; i++ {
+		id = fmt.Sprintf("%s%d-%08x", tag, i, i)
+		if follower.node.ring.Load().Owner(id) == owner.id {
+			break
+		}
+	}
+	sl, err := owner.store.Create(id, service.CreateSpec{N: nodes, M: int64(nodes) - 1, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := int32(0); u < nodes; u++ {
+		if err := sl.AppendNode(u, 1, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	log = readLog(t, owner.store, id)
+	spec, err = owner.store.ReadSpecBytes(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id, log, frameBoundaries(t, log), spec
+}
+
 // TestShippedFrameCorruptionNackAndResume: a corrupted frame on the
 // wire is rejected by the follower's CRC check with a nack carrying its
 // durable offset, and a reconnecting owner is told — via the hello-ack
@@ -102,37 +197,9 @@ func frameBoundaries(t *testing.T, b []byte) []int64 {
 func TestShippedFrameCorruptionNackAndResume(t *testing.T) {
 	tc := startCluster(t, []string{"n1", "n2"}, Config{AckMode: "async"})
 	n1, n2 := tc.nodes["n1"], tc.nodes["n2"]
-
-	// Author an authentic session log offline in n1's primary store
-	// (bypassing n1's node so no real shipper competes with the test);
-	// the id must NOT be owned by n2, or n2 would refuse to follow it.
-	var id string
-	for i := 0; ; i++ {
-		id = fmt.Sprintf("t%d-%08x", i, i)
-		if n2.node.ring.Load().Owner(id) == "n1" {
-			break
-		}
-	}
-	log, err := n1.store.Create(id, service.CreateSpec{N: 32, M: 31, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := int32(0); u < 32; u++ {
-		if err := log.AppendNode(u, 1, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := readLog(t, n1.store, id)
-	ends := frameBoundaries(t, want)
+	id, want, ends, spec := authorLog(t, n1, n2, "t", 32)
 	if len(ends) < 6 {
 		t.Fatalf("need more frames, got %d", len(ends))
-	}
-	spec, err := n1.store.ReadSpecBytes(id)
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	// Stream 1: three good frames, then one with a flipped payload byte.
@@ -201,6 +268,132 @@ func TestShippedFrameCorruptionNackAndResume(t *testing.T) {
 	if tc.nodes["n2"].reg.Snapshot()["oms_repl_nacks_total"] == 0 {
 		t.Error("follower nack counter did not move")
 	}
+}
+
+// TestFollowerAcksDrainedBatch: the follower fsyncs and acks whenever
+// no whole frame is left in its read-ahead, with no timer: a burst of
+// frames gets one ack at its end and then, idle, no more; a backlog
+// larger than one read is acked read by read, never stalling on a
+// trailing partial frame; frames sent one at a time are each acked
+// without a tick's delay; a frame split across writes is acked once
+// its second half lands.
+func TestFollowerAcksDrainedBatch(t *testing.T) {
+	tc := startCluster(t, []string{"n1", "n2"}, Config{AckMode: "async"})
+	n1, n2 := tc.nodes["n1"], tc.nodes["n2"]
+
+	// open starts a raw stream for a fresh session of nodes frames and
+	// consumes the hello-ack.
+	open := func(t *testing.T, tag string, nodes int32) (log []byte, ends []int64, s *rawStream, ch <-chan ctl) {
+		id, log, ends, spec := authorLog(t, n1, n2, tag, nodes)
+		s = openRaw(t, n2.url, id, spec)
+		t.Cleanup(s.close)
+		ch = s.pump()
+		expectAck(t, ch, 0)
+		return log, ends, s, ch
+	}
+
+	t.Run("burst", func(t *testing.T) {
+		log, ends, s, ch := open(t, "burst", 256)
+		// One pipe write the transport sends as one chunk, so the
+		// follower reads it in one piece.
+		if len(ends) != 256 || len(log) > 3500 {
+			t.Fatalf("burst is %d frames in %d bytes, want 256 in one small transport write", len(ends), len(log))
+		}
+		if _, err := s.pw.Write(log); err != nil {
+			t.Fatal(err)
+		}
+		expectAck(t, ch, int64(len(log)))
+		// Acked and idle: nothing more to ack.
+		expectQuiet(t, ch, 200*time.Millisecond)
+	})
+
+	t.Run("backlog", func(t *testing.T) {
+		// More than the follower's 64 KiB read-ahead plus half a frame in
+		// one write: reads end mid-frame, and each is acked up to its
+		// last whole frame, so the acks reach the end of the whole
+		// frames while the stream stays open.
+		log, ends, s, ch := open(t, "backlog", 8192)
+		whole := ends[len(ends)-2]
+		if whole <= 64<<10 {
+			t.Fatalf("backlog is %d bytes, want more than 64 KiB", whole)
+		}
+		half := (whole + ends[len(ends)-1]) / 2
+		if _, err := s.pw.Write(log[:half]); err != nil {
+			t.Fatal(err)
+		}
+		for prev := int64(0); prev < whole; {
+			off := nextAck(t, ch)
+			if _, ok := slices.BinarySearch(ends, off); !ok || off <= prev || off > whole {
+				t.Fatalf("ack @%d after @%d: want a later frame end up to @%d", off, prev, whole)
+			}
+			prev = off
+		}
+		if _, err := s.pw.Write(log[half:]); err != nil {
+			t.Fatal(err)
+		}
+		expectAck(t, ch, int64(len(log)))
+	})
+
+	t.Run("no-timer", func(t *testing.T) {
+		// Frames written one at a time, each once the previous one is
+		// acked: every ack follows its frame after about one fsync. An
+		// acker on a 5 ms tick would put consecutive acks on distinct
+		// ticks, so the round trips would take at least 5 ms each.
+		const frames = 20
+		log, ends, s, ch := open(t, "prompt", frames)
+		fsyncs := timeFsyncs(t, frames)
+		t0 := time.Now()
+		from := int64(0)
+		for _, end := range ends {
+			if _, err := s.pw.Write(log[from:end]); err != nil {
+				t.Fatal(err)
+			}
+			expectAck(t, ch, end)
+			from = end
+		}
+		// The bound allows each round trip one fsync as measured on this
+		// file system plus 2 ms; it only catches a tick-bound acker where
+		// fsyncs average under 2.75 ms.
+		took, bound := time.Since(t0), fsyncs+frames*2*time.Millisecond
+		t.Logf("%d write-to-ack round trips took %v (fsyncs alone %v)", frames, took, fsyncs)
+		if took > bound {
+			t.Fatalf("%d write-to-ack round trips took %v, want under %v", frames, took, bound)
+		}
+	})
+
+	t.Run("split-frame", func(t *testing.T) {
+		log, ends, s, ch := open(t, "split", 1)
+		half := ends[0] / 2
+		if _, err := s.pw.Write(log[:half]); err != nil {
+			t.Fatal(err)
+		}
+		expectQuiet(t, ch, 50*time.Millisecond)
+		if _, err := s.pw.Write(log[half:ends[0]]); err != nil {
+			t.Fatal(err)
+		}
+		expectAck(t, ch, ends[0])
+	})
+}
+
+// timeFsyncs returns the total time of n small appends, each fsynced,
+// to a file in a fresh temporary directory.
+func timeFsyncs(t *testing.T, n int) time.Duration {
+	t.Helper()
+	f, err := os.Create(t.TempDir() + "/probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	t0 := time.Now()
+	for i := 0; i < n; i++ {
+		if _, err := f.Write(make([]byte, 16)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return time.Since(t0)
 }
 
 // TestStalledFollower: a follower that accepts the stream but never
@@ -277,9 +470,17 @@ func TestStalledFollower(t *testing.T) {
 				if snap["oms_repl_sync_degraded_total"] != 0 {
 					t.Errorf("async mode counted sync degradations")
 				}
+				if snap["oms_repl_ack_wait_seconds_count"] != 0 {
+					t.Errorf("async mode observed ack waits")
+				}
 			} else {
 				if snap["oms_repl_sync_degraded_total"] == 0 {
 					t.Errorf("sync mode never counted a degraded flush against a stalled follower")
+				}
+				// Every timed-out wait is observed.
+				if snap["oms_repl_ack_wait_seconds_count"] < snap["oms_repl_sync_degraded_total"] {
+					t.Errorf("ack-wait histogram has %d observations for %d timed-out flushes",
+						snap["oms_repl_ack_wait_seconds_count"], snap["oms_repl_sync_degraded_total"])
 				}
 			}
 		})

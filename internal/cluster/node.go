@@ -93,6 +93,7 @@ type Node struct {
 	reconnects    *service.Counter
 	syncDegraded  *service.Counter
 	replRejects   *service.Counter
+	ackWaits      *service.Histogram
 }
 
 // NewNode validates the configuration, seeds the ring with every peer
@@ -168,6 +169,7 @@ func NewNode(cfg Config) (*Node, error) {
 			return c
 		})
 		r.GaugeFunc("oms_repl_lag_bytes", "Total flushed-but-unacknowledged WAL bytes across owned sessions.", n.lagBytes)
+		n.ackWaits = r.Histogram("oms_repl_ack_wait_seconds", "Sync-mode flush wait for the follower's covering ack (or the ack timeout).")
 		r.GaugeFunc("oms_repl_sessions", "Owned sessions with an active replication shipper.", func() int64 {
 			n.mu.Lock()
 			defer n.mu.Unlock()

@@ -6,22 +6,15 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"oms/internal/wal"
 	"oms/internal/wire"
 )
 
-// ackEvery is the follower's ack cadence: appended frames are fsynced
-// and acknowledged at most this often (plus once at stream end), so a
-// sync-mode owner waits one tick, not one fsync per record.
-const ackEvery = 5 * time.Millisecond
-
 // replicaStream is one inbound replication stream's shared state. The
-// handler goroutine appends; the acker goroutine syncs and acks; a
-// promotion closes the stream from outside. The mutex serializes all
-// three — in particular no append can interleave with the promotion
-// rename.
+// handler goroutine appends, syncs and acks; a promotion closes the
+// stream from outside. The mutex serializes the two — in particular no
+// append or fsync can interleave with the promotion rename.
 type replicaStream struct {
 	mu     sync.Mutex
 	rl     *wal.ReplicaLog
@@ -139,8 +132,7 @@ func (n *Node) serveReplicaStream(w http.ResponseWriter, r *http.Request, id str
 	w.Header().Set("Content-Type", wire.MediaType)
 	w.WriteHeader(http.StatusOK)
 
-	// sendCtl writes one control frame under the stream mutex (the acker
-	// and the handler share the connection).
+	// sendCtl writes one control frame; callers hold the stream mutex.
 	sendCtl := func(typ byte, off int64) error {
 		if _, err := w.Write(ctlFrame(typ, off)); err != nil {
 			return err
@@ -156,47 +148,15 @@ func (n *Node) serveReplicaStream(w http.ResponseWriter, r *http.Request, id str
 		return
 	}
 
-	// The acker: every tick, fsync and acknowledge whatever arrived
-	// since the last ack. Decoupling acks from appends keeps the fsync
-	// rate bounded, and keeps a sync-mode owner from waiting on a quiet
-	// stream (the idle tick acks the tail).
-	ackDone := make(chan struct{})
-	ackStop := make(chan struct{})
-	go func() {
-		defer close(ackDone)
-		t := time.NewTicker(ackEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-ackStop:
-				return
-			case <-t.C:
-			}
-			rs.mu.Lock()
-			if rs.closed {
-				rs.mu.Unlock()
-				return
-			}
-			if off := rl.Offset(); off > lastAck {
-				if rl.Sync() != nil || sendCtl(repAck, off) != nil {
-					rs.mu.Unlock()
-					return
-				}
-				lastAck = off
-			}
-			rs.mu.Unlock()
-		}
-	}()
-	defer func() { close(ackStop); <-ackDone }()
-
 	for {
 		payload, frame, err := rd.NextFrame()
+		rs.mu.Lock()
+		if rs.closed {
+			rs.mu.Unlock()
+			return
+		}
 		if err != nil {
-			rs.mu.Lock()
 			defer rs.mu.Unlock()
-			if rs.closed {
-				return
-			}
 			if errors.Is(err, io.EOF) {
 				// Clean end of stream: make the tail durable and ack it.
 				if rl.Sync() == nil {
@@ -215,17 +175,26 @@ func (n *Node) serveReplicaStream(w http.ResponseWriter, r *http.Request, id str
 			n.cfg.Logf("cluster: replica %s: corrupt frame (%v), nacked at %d", id, err, rl.Offset())
 			return
 		}
-		rs.mu.Lock()
-		if rs.closed {
-			rs.mu.Unlock()
-			return
-		}
 		if err := rl.Append(payload, frame); err != nil {
 			rl.Sync()
 			sendCtl(repNack, rl.Offset())
 			rs.mu.Unlock()
 			n.cfg.Logf("cluster: replica %s: %v, nacked at %d", id, err, rl.Offset())
 			return
+		}
+		// The frame is in the file; drop its bytes from the arena.
+		rd.Arena.Reset()
+		// Group commit: once no whole frame is left in the read-ahead,
+		// the next frame must come from the stream, so make everything
+		// appended so far durable and ack it. Frames the owner sends
+		// during the fsync queue up and the next ack covers them; under a
+		// backlog that is one fsync and ack per read.
+		if off := rl.Offset(); !rd.FrameBuffered() && off > lastAck {
+			if rl.Sync() != nil || sendCtl(repAck, off) != nil {
+				rs.mu.Unlock()
+				return
+			}
+			lastAck = off
 		}
 		rs.mu.Unlock()
 	}

@@ -285,16 +285,19 @@ func (s *shipper) setAcked(off int64) {
 // ship loop, and in sync mode wait — bounded — for the follower to
 // acknowledge it. A timeout degrades that one flush to async rather
 // than failing ingest: a stalled follower costs replication lag, never
-// availability.
+// availability. The wait, up to the covering ack or the timeout, is
+// observed in oms_repl_ack_wait_seconds.
 func (s *shipper) flushNotify() {
 	off := s.log.Flushed()
 	s.nudge()
 	if s.n.cfg.AckMode != "sync" {
 		return
 	}
+	t0 := time.Now()
 	s.mu.Lock()
 	if s.acked >= off {
 		s.mu.Unlock()
+		s.observeAckWait(t0)
 		return
 	}
 	w := ackWait{off: off, ch: make(chan struct{})}
@@ -307,6 +310,14 @@ func (s *shipper) flushNotify() {
 			s.n.syncDegraded.Inc()
 		}
 	case <-s.ctx.Done():
+		return
+	}
+	s.observeAckWait(t0)
+}
+
+func (s *shipper) observeAckWait(t0 time.Time) {
+	if h := s.n.ackWaits; h != nil {
+		h.Observe(time.Since(t0))
 	}
 }
 
@@ -434,6 +445,7 @@ func (s *shipper) stream(follower, addr string) error {
 				ackErr <- err
 				return
 			}
+			rd.Arena.Reset()
 			switch typ {
 			case repAck:
 				t0 := time.Now()

@@ -50,6 +50,18 @@ func (rd *Reader) Reset(r io.Reader) {
 	}
 }
 
+// FrameBuffered reports whether the read-ahead already holds the whole
+// next frame. When it does not, the next NextFrame reads from the
+// stream, and may block on it.
+func (rd *Reader) FrameBuffered() bool {
+	buf := rd.hi - rd.lo
+	if buf < FrameHeaderSize {
+		return false
+	}
+	n := binary.LittleEndian.Uint32(rd.in[rd.lo:])
+	return int64(buf) >= FrameHeaderSize+int64(n)
+}
+
 // fill ensures at least n unread bytes are buffered, compacting first.
 // Returns io.EOF only when zero bytes remain, io.ErrUnexpectedEOF when
 // the stream ends inside the span.

@@ -279,6 +279,54 @@ func TestReaderStream(t *testing.T) {
 	}
 }
 
+// TestReaderFrameBuffered: FrameBuffered is true exactly when the
+// read-ahead holds the whole next frame — false on a fresh reader, on a
+// partial header and on a partial frame, even though bytes are buffered.
+func TestReaderFrameBuffered(t *testing.T) {
+	f0 := AppendNodeFrame(nil, 0, 1, []int32{1}, nil)
+	f1 := AppendNodeFrame(nil, 1, 1, []int32{0, 2}, nil)
+	f2 := AppendNodeFrame(nil, 2, 1, []int32{1}, nil)
+	half := len(f2) / 2
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	next := func(rd *Reader, want bool) {
+		t.Helper()
+		if _, _, err := rd.NextFrame(); err != nil {
+			t.Fatal(err)
+		}
+		if got := rd.FrameBuffered(); got != want {
+			t.Fatalf("FrameBuffered = %v, want %v", got, want)
+		}
+	}
+
+	// Read 1 delivers f0, f1 and half of f2; read 2 the rest of f2.
+	rd := NewReader(&chunks{parts: [][]byte{cat(f0, f1, f2[:half]), f2[half:]}})
+	if rd.FrameBuffered() {
+		t.Fatal("fresh reader: FrameBuffered = true")
+	}
+	next(rd, true)  // f1 is whole in the read-ahead
+	next(rd, false) // only half of f2 is
+	next(rd, false) // nothing is left
+
+	// A partial header is not a frame either.
+	rd.Reset(&chunks{parts: [][]byte{cat(f0, f1[:FrameHeaderSize-1]), f1[FrameHeaderSize-1:]}})
+	next(rd, false)
+	next(rd, false)
+}
+
+// chunks returns one part per Read, as a socket delivers segments.
+type chunks struct{ parts [][]byte }
+
+func (c *chunks) Read(p []byte) (int, error) {
+	if len(c.parts) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.parts[0])
+	if c.parts[0] = c.parts[0][n:]; len(c.parts[0]) == 0 {
+		c.parts = c.parts[1:]
+	}
+	return n, nil
+}
+
 // iotest dribbles one byte per Read.
 type iotest struct{ r io.Reader }
 
