@@ -10,37 +10,27 @@ import (
 
 	"oms"
 	"oms/internal/service"
+	"oms/internal/wire"
 )
 
-// frame wraps a payload in the log's length+CRC header, exactly as
-// writeFrame does.
-func frame(payload []byte) []byte {
-	var out []byte
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
-}
-
-// seedLog builds a healthy little log: node frames, a batch frame, a
-// stats frame, a seal.
+// seedLog builds a healthy little log in the format the WAL writes:
+// node frames (one with edge weights), a batch frame whose recorded
+// blocks include -1 (a duplicate push), a stats frame, a seal.
 func seedLog() []byte {
 	var log []byte
-	log = append(log, frame(appendNodePayload(nil, 0, 1, []int32{1, 2}, nil))...)
-	log = append(log, frame(appendNodePayload(nil, 1, 2, []int32{0}, []int32{3}))...)
-	batch := []byte{recBatch}
-	batch = binary.LittleEndian.AppendUint32(batch, 2)
-	batch = binary.LittleEndian.AppendUint32(batch, 0) // block of node 2
-	batch = appendNodeBody(batch, 2, 1, []int32{0, 1}, nil)
-	batch = binary.LittleEndian.AppendUint32(batch, 1) // block of node 3
-	batch = appendNodeBody(batch, 3, 1, nil, nil)
-	log = append(log, frame(batch)...)
-	log = append(log, frame(appendStatsPayload(nil, oms.EstimatorState{
+	log = wire.AppendFrame(log, wire.AppendNodePayload(nil, 0, 1, []int32{1, 2}, nil))
+	log = wire.AppendFrame(log, wire.AppendNodePayload(nil, 1, 2, []int32{0}, []int32{3}))
+	batch := wire.AppendBatchHeader(nil, []int32{0, 1, -1})
+	batch = wire.AppendNodePayload(batch, 2, 1, []int32{0, 1}, nil)
+	batch = wire.AppendNodePayload(batch, 3, 1, nil, nil)
+	batch = wire.AppendNodePayload(batch, 2, 1, []int32{0, 1}, nil)
+	log = wire.AppendFrame(log, batch)
+	log = wire.AppendFrame(log, appendStatsPayload(nil, oms.EstimatorState{
 		SeenNodes: 4, SeenNodeWeight: 5, SeenAdj: 5, SeenEdgeWeight: 7,
 		NextRatchet: 6, Revision: 3,
 		Est: oms.StreamStats{N: 8, M: 4, TotalNodeWeight: 10, TotalEdgeWeight: 7},
-	}))...)
-	log = append(log, frame([]byte{recSeal})...)
-	return log
+	}))
+	return wire.AppendFrame(log, []byte{recSeal})
 }
 
 // FuzzLogScan feeds arbitrary bytes to the WAL recovery scanner and
@@ -57,7 +47,7 @@ func FuzzLogScan(f *testing.F) {
 	corrupt := append([]byte(nil), good...)
 	corrupt[10] ^= 0x40 // flip a payload bit: CRC must catch it
 	f.Add(corrupt)
-	huge := frame([]byte{recBatch, 0xff, 0xff, 0xff, 0xff}) // count 2^32-1, no entries
+	huge := wire.AppendFrame(nil, wire.AppendUvarint([]byte{wire.TypeBatch}, 1<<32-1)) // count 2^32-1, no entries
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

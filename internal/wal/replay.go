@@ -115,8 +115,9 @@ func (r *ReplaySource) newSeen() func(int32) bool {
 
 // ForEachParallel implements stream.Source. Like the METIS disk source,
 // log parsing is inherently sequential, so a producer goroutine scans
-// the frames and hands copied batches of consecutive records to worker
-// goroutines.
+// the frames and hands batches of consecutive records to worker
+// goroutines. replayLog's node slices alias its decode arena, which the
+// next frame overwrites, so each batch carries its own copy of them.
 func (r *ReplaySource) ForEachParallel(threads int, fn stream.ParallelVisitor) error {
 	if threads <= 1 {
 		return r.ForEach(func(u int32, vwgt int32, adj []int32, ewgt []int32) {
@@ -144,15 +145,24 @@ func (r *ReplaySource) ForEachParallel(threads int, fn stream.ParallelVisitor) e
 	}
 	seen := r.newSeen() // the producer filters, so workers never share a node
 	cur := make([]rec, 0, batchRecords)
+	var ints []int32 // the current batch's adjacency copies
+	keep := func(s []int32) []int32 {
+		if s == nil {
+			return nil
+		}
+		base := len(ints)
+		ints = append(ints, s...)
+		return ints[base:len(ints):len(ints)]
+	}
 	err := replayLog(r.path, 0, r.nodes, func(u, w int32, adj, ew []int32, _ int32) error {
 		if seen(u) {
 			return nil
 		}
-		// replayLog already hands out per-record copies; keep them.
-		cur = append(cur, rec{u: u, w: w, adj: adj, ew: ew})
+		cur = append(cur, rec{u: u, w: w, adj: keep(adj), ew: keep(ew)})
 		if len(cur) >= batchRecords {
 			ch <- cur
 			cur = make([]rec, 0, batchRecords)
+			ints = nil
 		}
 		return nil
 	}, nil)

@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"oms/internal/service"
@@ -15,6 +16,14 @@ func TestReplaySourceMatchesIngestedStream(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	recs, _ := testStream(t, 500)
+	for i := range recs {
+		if i%2 == 1 { // every other node carries edge weights
+			recs[i].ew = make([]int32, len(recs[i].adj))
+			for j := range recs[i].ew {
+				recs[i].ew[j] = int32(i + j + 1)
+			}
+		}
+	}
 
 	lg, err := st.Create("s1-0000feed", spec(500, 0))
 	if err != nil {
@@ -45,15 +54,9 @@ func TestReplaySourceMatchesIngestedStream(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		i := 0
 		err := src.ForEach(func(u int32, w int32, adj []int32, ew []int32) {
-			r := recs[i]
-			if u != r.u || w != r.w || len(adj) != len(r.adj) {
-				t.Fatalf("pass %d record %d: got (%d,%d,%d edges), want (%d,%d,%d edges)",
-					pass, i, u, w, len(adj), r.u, r.w, len(r.adj))
-			}
-			for j := range adj {
-				if adj[j] != r.adj[j] {
-					t.Fatalf("pass %d record %d: adjacency differs at %d", pass, i, j)
-				}
+			if r := recs[i]; u != r.u || w != r.w || !sameRecord(r, adj, ew) {
+				t.Fatalf("pass %d record %d: got (%d,%d,%v,%v), want (%d,%d,%v,%v)",
+					pass, i, u, w, adj, ew, r.u, r.w, r.adj, r.ew)
 			}
 			i++
 		})
@@ -65,23 +68,36 @@ func TestReplaySourceMatchesIngestedStream(t *testing.T) {
 		}
 	}
 
-	// The parallel walk covers every record exactly once.
-	var mu = make([]int32, 500)
-	err = src.ForEachParallel(4, func(_ int, u int32, _ int32, _ []int32, _ []int32) {
-		mu[u]++
+	// The parallel walk covers every record exactly once, each with its
+	// own adjacency and edge weights: workers run behind the producer,
+	// so anything still aliasing the decode arena would show here.
+	visits := make([]int32, 500)
+	wrong := make([]bool, 500)
+	err = src.ForEachParallel(4, func(_ int, u int32, _ int32, adj []int32, ew []int32) {
+		visits[u]++
+		wrong[u] = !sameRecord(recs[u], adj, ew)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u, c := range mu {
+	for u, c := range visits {
 		if c != 1 {
 			t.Fatalf("parallel replay visited node %d %d times", u, c)
+		}
+		if wrong[u] {
+			t.Fatalf("parallel replay handed node %d the wrong adjacency or edge weights", u)
 		}
 	}
 
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sameRecord reports whether adj and ew are exactly r's adjacency and
+// edge weights, nil weights included.
+func sameRecord(r pushRec, adj, ew []int32) bool {
+	return slices.Equal(adj, r.adj) && slices.Equal(ew, r.ew) && (ew == nil) == (r.ew == nil)
 }
 
 // TestReplaySourceCoversBatchFrames: group-committed batch frames replay
@@ -239,4 +255,47 @@ func TestVersionRoundTripAndRecovery(t *testing.T) {
 		t.Fatal("torn version 2 loaded whole")
 	}
 	recovered[0].Log.Close()
+}
+
+// TestReplayAllocsIndependentOfLogLength: a replay pass reads every
+// frame through one arena-backed reader, so it allocates a small
+// constant per pass — never one buffer per frame.
+func TestReplayAllocsIndependentOfLogLength(t *testing.T) {
+	allocs := func(n int32) float64 {
+		st := openStore(t, t.TempDir())
+		recs, _ := testStream(t, n)
+		lg, err := st.Create("s1-0000a11c", spec(n, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := lg.AppendNode(r.u, r.w, r.adj, r.ew); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lg.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		lg.Close()
+		src, err := st.ReplaySource("s1-0000a11c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		visited := 0
+		a := testing.AllocsPerRun(5, func() {
+			visited = 0
+			if err := src.ForEach(func(int32, int32, []int32, []int32) { visited++ }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if visited != int(n) {
+			t.Fatalf("replay of %d nodes visited %d", n, visited)
+		}
+		return a
+	}
+	small, large := allocs(500), allocs(5000)
+	t.Logf("allocs per pass: %v at 500 nodes, %v at 5000", small, large)
+	if small != large || large > 16 {
+		t.Fatalf("replay allocates %v per pass at 500 nodes and %v at 5000, want the same small constant", small, large)
+	}
 }

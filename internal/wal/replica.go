@@ -100,9 +100,10 @@ func (r *ReplicaLog) Append(payload, frame []byte) error {
 	if r.sealed {
 		return fmt.Errorf("wal: append to sealed replica")
 	}
-	_, seal, ok := validateRecord(&r.arena, payload)
-	if !ok {
-		return fmt.Errorf("wal: shipped frame is not a valid log record")
+	r.arena.Reset()
+	seal, err := decodeRecord(&r.arena, payload, nil, nil)
+	if err != nil {
+		return fmt.Errorf("wal: shipped frame is not a valid log record: %w", err)
 	}
 	if _, err := r.f.Write(frame); err != nil {
 		return err

@@ -263,80 +263,84 @@ func (st *Store) newLog(f *os.File, dir string) *Log {
 // scanLog validates the log's frame prefix from the start of f: it
 // returns the node-record count, whether a seal record terminates the
 // log, and the byte offset the valid prefix ends at. A torn or corrupt
-// frame simply ends the scan — its bytes are the crash's, not an error.
+// frame simply ends the scan — its bytes are the crash's, not an error —
+// and a batch frame that fails mid-decode counts none of its nodes.
 // A real read fault is an error: truncating at it would destroy
 // durable, acknowledged records that merely failed to read this time.
 func scanLog(f *os.File) (nodes int64, sealed bool, validEnd int64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, false, 0, err
 	}
-	r := bufio.NewReaderSize(f, 256<<10)
-	var arena wire.Arena
+	rd := wire.NewReader(f)
+	var n int64
+	count := func(wire.Node, int32) error { n++; return nil }
 	for {
-		payload, size, err := readFrame(r)
-		if err == io.EOF || err == errTornFrame {
+		n = 0
+		size, seal, err := nextRecord(rd, count, nil)
+		if err == io.EOF || errors.Is(err, wire.ErrMalformed) {
 			return nodes, sealed, validEnd, nil
 		}
 		if err != nil {
 			return 0, false, 0, err
 		}
-		n, seal, ok := validateRecord(&arena, payload)
-		if !ok {
-			return nodes, sealed, validEnd, nil
-		}
 		nodes += n
+		validEnd += size
 		if seal {
 			// Nothing may follow a seal; stop at it either way.
-			return nodes, true, validEnd + size, nil
+			return nodes, true, validEnd, nil
 		}
-		validEnd += size
 	}
 }
 
-// validateRecord decodes one frame payload just far enough to prove it
-// is a well-formed log record, returning the node records it carries
-// and whether it is the terminal seal. ok=false means the payload is
-// not a valid record — a torn tail during a recovery scan, or a corrupt
-// shipped frame at a replica.
-func validateRecord(arena *wire.Arena, payload []byte) (nodes int64, seal, ok bool) {
+// nextRecord reads one frame from rd and decodes it with decodeRecord,
+// returning the frame's encoded size and whether it is the seal. The
+// arena is emptied first, so walking a log holds memory on the order of
+// its largest frame, never of the whole log. io.EOF means a clean end at
+// a frame boundary and wire.ErrMalformed a torn or corrupt frame or
+// record: both end a valid prefix. Any other error is a read fault.
+func nextRecord(rd *wire.Reader, node func(wire.Node, int32) error, stats func(oms.EstimatorState) error) (size int64, seal bool, err error) {
+	rd.Arena.Reset()
+	payload, frame, err := rd.NextFrame()
+	if err != nil {
+		return 0, false, err
+	}
+	seal, err = decodeRecord(&rd.Arena, payload, node, stats)
+	return int64(len(frame)), seal, err
+}
+
+// decodeRecord is the one place that knows the log's record types. It
+// decodes payload into arena, calling node for every node the record
+// carries — with its recorded block in a batch frame, -1 in a per-node
+// frame — and stats for a stats revision; either may be nil. It reports
+// whether the record is the terminal seal. A payload that is not a
+// well-formed record, retired types 1 and 3 included, is
+// wire.ErrMalformed.
+func decodeRecord(arena *wire.Arena, payload []byte, node func(wire.Node, int32) error, stats func(oms.EstimatorState) error) (seal bool, err error) {
+	if node == nil {
+		node = func(wire.Node, int32) error { return nil }
+	}
+	if len(payload) == 0 {
+		return false, wire.ErrMalformed
+	}
 	switch payload[0] {
-	case recNode:
-		if _, _, _, _, err := decodeNodePayload(payload[1:]); err != nil {
-			return 0, false, false
-		}
-		return 1, false, true
 	case wire.TypeNode:
-		arena.Reset()
-		if _, err := wire.DecodeNodeInto(arena, payload); err != nil {
-			return 0, false, false
-		}
-		return 1, false, true
-	case recBatch:
-		entries, err := decodeBatchPayload(payload[1:])
+		nd, err := wire.DecodeNodeInto(arena, payload)
 		if err != nil {
-			return 0, false, false
+			return false, err
 		}
-		return int64(len(entries)), false, true
+		return false, node(nd, -1)
 	case wire.TypeBatch:
-		arena.Reset()
-		count := int64(0)
-		err := wire.ForEachBatchNode(arena, payload, func(wire.Node, int32) error {
-			count++
-			return nil
-		})
-		if err != nil {
-			return 0, false, false
-		}
-		return count, false, true
+		return false, wire.ForEachBatchNode(arena, payload, node)
 	case recStats:
-		if _, err := decodeStatsPayload(payload[1:]); err != nil {
-			return 0, false, false
+		st, err := decodeStatsPayload(payload[1:])
+		if err != nil || stats == nil {
+			return false, err
 		}
-		return 0, false, true
+		return false, stats(st)
 	case recSeal:
-		return 0, true, true
+		return true, nil
 	default:
-		return 0, false, false
+		return false, fmt.Errorf("%w: record type %d", wire.ErrMalformed, payload[0])
 	}
 }
 
@@ -346,7 +350,8 @@ func validateRecord(arena *wire.Arena, payload []byte) (nodes int64, seal, ok bo
 // with block -1 (re-derive the assignment); batch frames carry the
 // recorded assignment, replayed verbatim. The skip count is per node
 // record, so a snapshot boundary inside a batch frame skips exactly the
-// covered sub-records.
+// covered sub-records. Node slices alias the reader's arena and are
+// valid only for the duration of the fn call.
 //
 // Stats-revision frames past the skipped prefix are handed to the
 // optional stats callback (nil ignores them): applying the recorded
@@ -360,82 +365,30 @@ func replayLog(path string, skip, total int64, fn func(u, w int32, adj, ew []int
 		return err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 256<<10)
-	var arena wire.Arena
 	seen := int64(0)
+	node := func(nd wire.Node, block int32) error {
+		seen++
+		if seen <= skip {
+			return nil
+		}
+		return fn(nd.U, nd.W, nd.Adj, nd.EW, block)
+	}
+	var onStats func(oms.EstimatorState) error
+	if stats != nil {
+		onStats = func(st oms.EstimatorState) error {
+			if seen < skip {
+				return nil
+			}
+			return stats(st)
+		}
+	}
+	rd := wire.NewReader(f)
 	for seen < total {
-		payload, _, err := readFrame(r)
-		if err != nil {
+		if _, _, err := nextRecord(rd, node, onStats); err != nil {
 			if err == io.EOF {
 				return fmt.Errorf("wal: log ends after %d of %d records", seen, total)
 			}
 			return err
-		}
-		switch payload[0] {
-		case recStats:
-			if stats == nil || seen < skip {
-				continue
-			}
-			st, err := decodeStatsPayload(payload[1:])
-			if err != nil {
-				return err
-			}
-			if err := stats(st); err != nil {
-				return err
-			}
-		case recNode:
-			seen++
-			if seen <= skip {
-				// Snapshot-covered prefix: count the frame, skip the
-				// per-record decode allocations.
-				continue
-			}
-			u, w, adj, ew, err := decodeNodePayload(payload[1:])
-			if err != nil {
-				return err
-			}
-			if err := fn(u, w, adj, ew, -1); err != nil {
-				return err
-			}
-		case wire.TypeNode:
-			seen++
-			if seen <= skip {
-				continue
-			}
-			arena.Reset()
-			nd, err := wire.DecodeNodeInto(&arena, payload)
-			if err != nil {
-				return err
-			}
-			if err := fn(nd.U, nd.W, nd.Adj, nd.EW, -1); err != nil {
-				return err
-			}
-		case recBatch:
-			entries, err := decodeBatchPayload(payload[1:])
-			if err != nil {
-				return err
-			}
-			for _, e := range entries {
-				seen++
-				if seen <= skip {
-					continue
-				}
-				if err := fn(e.u, e.w, e.adj, e.ew, e.block); err != nil {
-					return err
-				}
-			}
-		case wire.TypeBatch:
-			arena.Reset()
-			err := wire.ForEachBatchNode(&arena, payload, func(nd wire.Node, block int32) error {
-				seen++
-				if seen <= skip {
-					return nil
-				}
-				return fn(nd.U, nd.W, nd.Adj, nd.EW, block)
-			})
-			if err != nil {
-				return err
-			}
 		}
 	}
 	return nil

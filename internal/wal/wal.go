@@ -31,10 +31,8 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -44,24 +42,14 @@ import (
 	"oms/internal/wire"
 )
 
-// Record types discriminating log frames. recNode and recBatch are the
-// legacy v1 encodings (fixed-width little-endian fields), still decoded
-// so logs written before the wire v2 codec recover; every new write
-// uses the wire package's varint records (wire.TypeNode,
-// wire.TypeBatch), which are byte-identical to what the binary ingest
-// API carries — a validated request frame appends verbatim.
+// The log holds wire frames (length, CRC32, payload). Node and batch
+// records are the wire package's own (wire.TypeNode, wire.TypeBatch),
+// byte-identical to what the binary ingest API carries, so a validated
+// request frame appends verbatim. Two record types belong to the WAL
+// alone; types 1 and 3 were its retired fixed-width node and batch
+// records and are never reused.
 const (
-	recNode = 1 // one accepted push: u, vwgt, adjacency, edge weights
 	recSeal = 2 // the session finished; nothing follows
-	// recBatch is one group-committed ingest batch: every node of the
-	// batch plus the block the engine assigned it. The assignment is
-	// recorded because parallel batch assignment is not deterministic —
-	// replay applies the logged decisions instead of re-deriving them,
-	// so recovered sessions match what clients were acknowledged even
-	// for racy parallel runs. One frame per batch means one CRC over
-	// the whole group: a crash mid-batch tears the single frame and the
-	// whole batch vanishes together, never a prefix of it.
-	recBatch = 3
 	// recStats is one stats-revision checkpoint of an adaptive (open-
 	// ended) session: the estimator state in force after the preceding
 	// records. Ratcheting is a deterministic function of the record
@@ -71,164 +59,6 @@ const (
 	// loud recovery failure instead of silently different partitions.
 	recStats = 4
 )
-
-// maxFramePayload bounds one frame's payload during recovery scans; a
-// larger declared length is treated as corruption. It comfortably
-// exceeds any node the service accepts (the HTTP layer caps one node
-// line at 16 MiB of JSON). The WAL and the wire protocol share one
-// frame format, so the bounds must agree.
-const maxFramePayload = wire.MaxFramePayload
-
-// frameHeaderSize is the per-frame overhead: payload length + CRC32,
-// both little-endian uint32.
-const frameHeaderSize = wire.FrameHeaderSize
-
-var errTornFrame = errors.New("wal: torn or corrupt frame")
-
-// appendNodeBody encodes the shared node-record body (everything after
-// the type byte): u, w, degree, edge-weight flag, adjacency, weights.
-func appendNodeBody(buf []byte, u, w int32, adj, ew []int32) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(u))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(w))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(adj)))
-	if ew != nil {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	for _, v := range adj {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-	}
-	for _, v := range ew {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-	}
-	return buf
-}
-
-// appendNodePayload encodes one node record payload into buf.
-func appendNodePayload(buf []byte, u, w int32, adj, ew []int32) []byte {
-	buf = append(buf, recNode)
-	return appendNodeBody(buf, u, w, adj, ew)
-}
-
-// decodeNodeBody parses one node body from the front of p, returning
-// how many bytes it consumed (batch payloads concatenate several).
-func decodeNodeBody(p []byte) (u, w int32, adj, ew []int32, size int, err error) {
-	if len(p) < 13 {
-		return 0, 0, nil, nil, 0, errTornFrame
-	}
-	u = int32(binary.LittleEndian.Uint32(p[0:]))
-	w = int32(binary.LittleEndian.Uint32(p[4:]))
-	deg := int64(binary.LittleEndian.Uint32(p[8:]))
-	hasEW := p[12] == 1
-	want := int64(13) + 4*deg
-	if hasEW {
-		want += 4 * deg
-	}
-	if int64(len(p)) < want {
-		return 0, 0, nil, nil, 0, errTornFrame
-	}
-	adj = make([]int32, deg)
-	for i := range adj {
-		adj[i] = int32(binary.LittleEndian.Uint32(p[13+4*i:]))
-	}
-	if hasEW {
-		ew = make([]int32, deg)
-		off := 13 + 4*int(deg)
-		for i := range ew {
-			ew[i] = int32(binary.LittleEndian.Uint32(p[off+4*i:]))
-		}
-	}
-	return u, w, adj, ew, int(want), nil
-}
-
-// decodeNodePayload is the inverse of appendNodePayload, minus the type
-// byte already consumed by the caller.
-func decodeNodePayload(p []byte) (u, w int32, adj, ew []int32, err error) {
-	u, w, adj, ew, size, err := decodeNodeBody(p)
-	if err != nil {
-		return 0, 0, nil, nil, err
-	}
-	if size != len(p) {
-		return 0, 0, nil, nil, errTornFrame
-	}
-	return u, w, adj, ew, nil
-}
-
-// batchEntry is one decoded sub-record of a batch frame.
-type batchEntry struct {
-	u, w  int32
-	adj   []int32
-	ew    []int32
-	block int32
-}
-
-// decodeBatchPayload parses a batch frame payload (after the type
-// byte): count, then per node a block id followed by the node body.
-func decodeBatchPayload(p []byte) ([]batchEntry, error) {
-	if len(p) < 4 {
-		return nil, errTornFrame
-	}
-	count := int(binary.LittleEndian.Uint32(p[0:]))
-	p = p[4:]
-	// Pre-size from the payload actually present, not the declared
-	// count: each entry needs at least 17 bytes (block + node header),
-	// so a corrupt count cannot provoke an unbounded allocation before
-	// the per-entry decode fails it.
-	capHint := min(count, len(p)/17)
-	out := make([]batchEntry, 0, capHint)
-	for i := 0; i < count; i++ {
-		if len(p) < 4 {
-			return nil, errTornFrame
-		}
-		block := int32(binary.LittleEndian.Uint32(p[0:]))
-		u, w, adj, ew, size, err := decodeNodeBody(p[4:])
-		if err != nil {
-			return nil, err
-		}
-		p = p[4+size:]
-		out = append(out, batchEntry{u: u, w: w, adj: adj, ew: ew, block: block})
-	}
-	if len(p) != 0 {
-		return nil, errTornFrame
-	}
-	return out, nil
-}
-
-// readFrame reads one frame from r, returning its payload and total
-// encoded size. io.EOF means a clean end exactly at a frame boundary;
-// errTornFrame means a short read or checksum mismatch (the crash's
-// bytes); any other error is a real I/O fault that must NOT be treated
-// as a torn tail — truncating on it would destroy durable records.
-func readFrame(r *bufio.Reader) (payload []byte, size int64, err error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		switch err {
-		case io.EOF:
-			return nil, 0, io.EOF
-		case io.ErrUnexpectedEOF:
-			return nil, 0, errTornFrame
-		default:
-			return nil, 0, err
-		}
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:])
-	sum := binary.LittleEndian.Uint32(hdr[4:])
-	if n == 0 || n > maxFramePayload {
-		return nil, 0, errTornFrame
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, 0, errTornFrame
-		}
-		return nil, 0, err
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0, errTornFrame
-	}
-	return payload, frameHeaderSize + int64(n), nil
-}
 
 // Log is one session's append-only record log, implementing the
 // service's SessionLog. Appends buffer in memory; Flush writes through
@@ -359,13 +189,13 @@ func (l *Log) AppendBatch(nodes []service.PushNode, blocks []int32) error {
 	minSize := int64(2) + int64(len(nodes))
 	for i := range nodes {
 		if f := nodes[i].Frame; f != nil {
-			minSize += int64(len(f) - frameHeaderSize)
+			minSize += int64(len(f) - wire.FrameHeaderSize)
 			continue
 		}
 		minSize += 4 + int64(len(nodes[i].Adj)) + int64(len(nodes[i].EW))
 	}
-	if minSize > maxFramePayload {
-		return fmt.Errorf("wal: batch encodes to at least %d bytes, over the %d frame bound (split the batch)", minSize, maxFramePayload)
+	if minSize > wire.MaxFramePayload {
+		return fmt.Errorf("wal: batch encodes to at least %d bytes, over the %d frame bound (split the batch)", minSize, wire.MaxFramePayload)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -382,7 +212,7 @@ func (l *Log) AppendBatch(nodes []service.PushNode, blocks []int32) error {
 		if nd.Frame != nil {
 			// The request's validated node payload, copied verbatim out
 			// of its frame — the group record is the only new encoding.
-			payload = append(payload, nd.Frame[frameHeaderSize:]...)
+			payload = append(payload, nd.Frame[wire.FrameHeaderSize:]...)
 			continue
 		}
 		w := nd.W
@@ -392,8 +222,8 @@ func (l *Log) AppendBatch(nodes []service.PushNode, blocks []int32) error {
 		payload = wire.AppendNodePayload(payload, nd.U, w, nd.Adj, nd.EW)
 	}
 	l.buf = payload
-	if len(payload) > maxFramePayload {
-		return fmt.Errorf("wal: batch encodes to %d bytes, over the %d frame bound (split the batch)", len(payload), maxFramePayload)
+	if len(payload) > wire.MaxFramePayload {
+		return fmt.Errorf("wal: batch encodes to %d bytes, over the %d frame bound (split the batch)", len(payload), wire.MaxFramePayload)
 	}
 	if err := l.writeFrame(payload); err != nil {
 		return err
@@ -427,7 +257,7 @@ func appendEstimatorFields(buf []byte, st oms.EstimatorState) []byte {
 // exactly estimatorFieldsLen bytes.
 func decodeEstimatorFields(p []byte) (oms.EstimatorState, error) {
 	if len(p) < estimatorFieldsLen {
-		return oms.EstimatorState{}, errTornFrame
+		return oms.EstimatorState{}, wire.ErrMalformed
 	}
 	f := make([]int64, 10)
 	for i := range f {
@@ -440,7 +270,7 @@ func decodeEstimatorFields(p []byte) (oms.EstimatorState, error) {
 	st.Est.N = int32(f[6])
 	st.Est.M, st.Est.TotalNodeWeight, st.Est.TotalEdgeWeight = f[7], f[8], f[9]
 	if st.SeenNodes < 0 || st.SeenNodeWeight < 0 || st.Revision < 0 || st.Est.N < 0 {
-		return oms.EstimatorState{}, errTornFrame
+		return oms.EstimatorState{}, wire.ErrMalformed
 	}
 	return st, nil
 }
@@ -454,7 +284,7 @@ func appendStatsPayload(buf []byte, st oms.EstimatorState) []byte {
 // type byte already consumed by the caller.
 func decodeStatsPayload(p []byte) (oms.EstimatorState, error) {
 	if len(p) != statsPayloadLen-1 {
-		return oms.EstimatorState{}, errTornFrame
+		return oms.EstimatorState{}, wire.ErrMalformed
 	}
 	return decodeEstimatorFields(p)
 }
@@ -477,7 +307,7 @@ func (l *Log) AppendStats(st oms.EstimatorState) error {
 
 // writeFrame frames payload into the buffered writer; callers hold mu.
 func (l *Log) writeFrame(payload []byte) error {
-	var hdr [frameHeaderSize]byte
+	var hdr [wire.FrameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 	if _, err := l.w.Write(hdr[:]); err != nil {
@@ -487,7 +317,7 @@ func (l *Log) writeFrame(payload []byte) error {
 		return err
 	}
 	l.dirty = true
-	l.size += frameHeaderSize + int64(len(payload))
+	l.size += wire.FrameHeaderSize + int64(len(payload))
 	return nil
 }
 

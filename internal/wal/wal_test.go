@@ -11,6 +11,7 @@ import (
 
 	"oms"
 	"oms/internal/service"
+	"oms/internal/wire"
 )
 
 // testGraph returns a deterministic small graph as push records.
@@ -130,7 +131,7 @@ func TestTornTailTruncatedAndResumable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, recNode, 1, 2}); err != nil {
+	if _, err := f.Write([]byte{40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, wire.TypeNode, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -546,7 +547,7 @@ func TestTornBatchFrameDropsWholeGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The durable prefix is the first frame: header + payload length.
-	firstFrame := int64(frameHeaderSize) + int64(binary.LittleEndian.Uint32(full[0:]))
+	firstFrame := int64(wire.FrameHeaderSize) + int64(binary.LittleEndian.Uint32(full[0:]))
 	if firstFrame <= 0 || firstFrame >= int64(len(full)) {
 		t.Fatalf("unexpected frame layout: first frame %d of %d bytes", firstFrame, len(full))
 	}
@@ -554,7 +555,7 @@ func TestTornBatchFrameDropsWholeGroup(t *testing.T) {
 	// Tear the second batch's frame at representative points: just
 	// after its header, mid-payload, and one byte short of complete.
 	// Every cut must recover to exactly the first batch.
-	for _, cutAt := range []int64{firstFrame + frameHeaderSize, (firstFrame + int64(len(full))) / 2, int64(len(full)) - 1} {
+	for _, cutAt := range []int64{firstFrame + wire.FrameHeaderSize, (firstFrame + int64(len(full))) / 2, int64(len(full)) - 1} {
 		if err := os.WriteFile(logPath, full[:cutAt], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -610,5 +611,48 @@ func TestOversizedBatchRejectedNotSplit(t *testing.T) {
 	}
 	if got := lg.Nodes(); got != 0 {
 		t.Fatalf("rejected batch logged %d nodes", got)
+	}
+}
+
+// TestScanEndsPrefixAtBadRecord: a frame whose CRC holds but whose
+// record does not decode ends the valid prefix like a torn tail. That
+// covers a batch failing at its second node (none of its nodes count)
+// and the retired fixed-width node and batch records. A read fault is
+// different: it is an error, never a prefix to truncate to.
+func TestScanEndsPrefixAtBadRecord(t *testing.T) {
+	head := wire.AppendFrame(nil, wire.AppendNodePayload(nil, 0, 1, []int32{1}, nil))
+	badBatch := wire.AppendBatchHeader(nil, []int32{0, 1})
+	badBatch = wire.AppendNodePayload(badBatch, 1, 1, []int32{0}, nil)
+	badBatch = append(badBatch, wire.TypeNode, 0xff) // the second node is cut short
+	for name, tail := range map[string][]byte{
+		"batch-bad-second-node": badBatch,
+		"v1-node":               {1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0},
+		"v1-batch":              {3, 0, 0, 0, 0},
+	} {
+		path := filepath.Join(t.TempDir(), logName)
+		log := wire.AppendFrame(append([]byte(nil), head...), tail)
+		log = wire.AppendFrame(log, []byte{recSeal})
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, sealed, validEnd, err := scanLog(f)
+		f.Close()
+		if err != nil || nodes != 1 || sealed || validEnd != int64(len(head)) {
+			t.Fatalf("%s: scan = (%d nodes, sealed %v, end %d, %v), want (1, false, %d, nil)",
+				name, nodes, sealed, validEnd, err, len(head))
+		}
+	}
+
+	d, err := os.Open(t.TempDir()) // reading a directory fails with EISDIR
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, _, _, err := scanLog(d); err == nil {
+		t.Fatal("scan swallowed a read fault as the end of the log")
 	}
 }

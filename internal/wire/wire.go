@@ -13,9 +13,10 @@
 //	| uint32 LE      | uint32 LE      | length bytes           |
 //	+----------------+----------------+------------------------+
 //
-// The first payload byte discriminates the record type; the type space
-// is shared with the WAL's legacy records (1–4), so a frame is
-// meaningful wherever it lands.
+// The first payload byte discriminates the record type. The type space
+// is shared with the WAL, whose own records are 2 (seal) and 4 (stats);
+// 1 and 3 are retired WAL records and must never be reused. So a frame
+// is meaningful wherever it lands.
 //
 // # Node records (TypeNode)
 //
@@ -50,9 +51,10 @@ import (
 // MediaType is the HTTP content type of a v2 frame stream.
 const MediaType = "application/x-oms-frame"
 
-// Record types. 1–4 are the WAL's legacy records (node, seal, batch,
-// stats); wire starts at 5 so a type byte is unambiguous in either
-// context.
+// Record types. Wire starts at 5 so a type byte is unambiguous in the
+// WAL too: 2 (seal) and 4 (stats) are the WAL's own records, and 1
+// and 3 are its retired fixed-width node and batch records, never to
+// be reused.
 const (
 	// TypeNode is one node record: the ingest request unit and the WAL
 	// per-push record.
